@@ -381,7 +381,7 @@ func (s *Session) runPlan(node plan.Node, tx *txn.Transaction) (*Result, error) 
 		prof = exec.NewProfiler(node)
 		ctx.Prof = prof
 	}
-	op, err := exec.BuildParallelProfiled(node, ctx.Threads, prof)
+	op, err := exec.Compile(node, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +460,7 @@ func (s *Session) runDML(node plan.Node, tx *txn.Transaction) (*Result, error) {
 		prof = exec.NewProfiler(node)
 		ctx.Prof = prof
 	}
-	op, err := exec.BuildParallelProfiled(node, ctx.Threads, prof)
+	op, err := exec.Compile(node, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -615,21 +615,25 @@ func (s *Session) copy(st *sql.CopyStmt, tx *txn.Transaction) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := entry.Data.NewScanner(tx, table.ScanOptions{})
+	src, err := entry.Data.NewMorselSource(tx, table.ScanOptions{})
 	if err != nil {
 		_ = w.Close()
 		return nil, err
 	}
-	defer sc.Close()
+	defer src.Close()
+	ms := src.Worker()
 	var total int64
 	for {
-		chunk, err := sc.Next()
+		_, n, chunk, err := ms.Claim()
 		if err != nil {
 			_ = w.Close()
 			return nil, err
 		}
-		if chunk == nil {
+		if n == 0 {
 			break
+		}
+		if chunk == nil {
+			continue
 		}
 		if err := w.WriteChunk(chunk); err != nil {
 			_ = w.Close()
@@ -986,12 +990,6 @@ func (s *Session) executePragma(st *sql.PragmaStmt) (*Result, error) {
 			Chunks:  []*vector.Chunk{out},
 			HasRows: true,
 		}, nil
-	case "parallel_agg_fallbacks":
-		// Deprecated (kept one release for embedders' dashboards):
-		// budgeted parallel aggregation no longer degrades to one worker
-		// — it spills partition-wise instead (see agg_spill_partitions)
-		// — so the fallback counter is always 0.
-		return readback("0"), nil
 	default:
 		return nil, fmt.Errorf("unknown PRAGMA %q", st.Name)
 	}

@@ -56,7 +56,7 @@ func mkAggNode(t *testing.T, n, div int, mgr *txn.Manager) *plan.AggNode {
 
 func renderAgg(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := BuildParallel(node, ctx.Threads)
+	op, err := Compile(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 	const rows = 60_000
 	mgr := txn.NewManager(nil)
 	node := mkAggNode(t, rows, 8, mgr)
-	op, err := BuildParallel(node, 8)
+	op, err := Compile(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 func TestAggSpillEarlyCloseNoLeak(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node := mkAggNode(t, 60_000, 8, mgr)
-	op, err := BuildParallel(node, 4)
+	op, err := Compile(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestAggSpillRunCorruptionPropagates(t *testing.T) {
 	// Drive the table directly so corruption lands between spill and
 	// merge: accumulate everything, corrupt one run, then finish.
 	tbl := newAggTable(ctx, node, false, 1)
-	scan, err := Build(node.Child)
+	scan, err := Compile(node.Child, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

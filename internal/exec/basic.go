@@ -13,16 +13,6 @@ import (
 
 // ---- scan ----
 
-// scanOp reads a base table through an MVCC snapshot scanner, applying
-// the pushed-down filter inside the scan.
-type scanOp struct {
-	node    *plan.ScanNode
-	scanner *table.Scanner
-	selBuf  []int
-}
-
-func newScanOp(n *plan.ScanNode) *scanOp { return &scanOp{node: n} }
-
 // scanOptions assembles the table-layer options for a scan node: the
 // projected columns, the zone-map-eligible conjuncts of the pushed
 // filter (unless the context disables skipping) and the database-shared
@@ -47,48 +37,6 @@ func scanOptions(ctx *Context, n *plan.ScanNode) table.ScanOptions {
 		opts.ProfSelectedRows = &slot.SelectedRows
 	}
 	return opts
-}
-
-func (s *scanOp) Open(ctx *Context) error {
-	sc, err := s.node.Table.Data.NewScanner(ctx.Txn, scanOptions(ctx, s.node))
-	if err != nil {
-		return err
-	}
-	s.scanner = sc
-	return nil
-}
-
-func (s *scanOp) Next(ctx *Context) (*vector.Chunk, error) {
-	for {
-		chunk, err := s.scanner.Next()
-		if err != nil || chunk == nil {
-			return nil, err
-		}
-		if s.node.Filter == nil {
-			return chunk, nil
-		}
-		mask, err := s.node.Filter.Eval(chunk)
-		if err != nil {
-			return nil, err
-		}
-		s.selBuf = expr.SelectTrue(mask, s.selBuf)
-		if len(s.selBuf) == 0 {
-			continue
-		}
-		if len(s.selBuf) == chunk.Len() {
-			return chunk, nil
-		}
-		out := vector.NewChunk(chunk.Types())
-		chunk.CompactInto(out, s.selBuf)
-		return out, nil
-	}
-}
-
-func (s *scanOp) Close(ctx *Context) {
-	if s.scanner != nil {
-		s.scanner.Close()
-		s.scanner = nil
-	}
 }
 
 // ---- filter ----

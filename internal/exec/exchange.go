@@ -276,7 +276,7 @@ func (e *exchangeOp) Next(ctx *Context) (*vector.Chunk, error) {
 				return nil, res.err
 			}
 			if e.ordered {
-				e.buf.park(res.seq, res.chunks)
+				e.buf.park(res.seq, 1, res.chunks)
 			} else {
 				e.buf.enqueue(res.chunks)
 			}
@@ -318,7 +318,7 @@ func (e *exchangeOp) Close(ctx *Context) {
 // the chain's stages run on the exchange's worker pool instead of
 // single-threaded operators. The ordered merge keeps output identical to
 // the sequential chain. Returns ok=false when the shape does not match.
-func buildExchange(node plan.Node, threads int, prof *Profiler) (Operator, bool, error) {
+func buildExchange(node plan.Node, prof *Profiler) (Operator, bool, error) {
 	var stages []stageFactory
 	cur := node
 peel:
@@ -346,7 +346,7 @@ peel:
 	default:
 		return nil, false, nil
 	}
-	base, err := build(cur, threads, prof)
+	base, err := build(cur, prof)
 	if err != nil {
 		return nil, true, err
 	}

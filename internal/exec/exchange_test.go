@@ -46,14 +46,12 @@ func mkHavingPlan(t *testing.T, rows int) (plan.Node, *txn.Manager) {
 
 func renderPlan(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := BuildParallel(node, ctx.Threads)
+	op, err := Compile(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Threads > 1 {
-		if _, ok := op.(*exchangeOp); !ok {
-			t.Fatalf("threads=%d built %T, want *exchangeOp", ctx.Threads, op)
-		}
+	if _, ok := op.(*exchangeOp); !ok {
+		t.Fatalf("threads=%d built %T, want *exchangeOp", ctx.Threads, op)
 	}
 	out := ""
 	for _, c := range collectAll(t, ctx, op) {
@@ -95,18 +93,16 @@ func TestExchangeAboveSort(t *testing.T) {
 		Names: []string{"v1"},
 	}
 	render := func(threads int) string {
-		op, err := BuildParallel(strip, threads)
+		op, err := Compile(strip, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if threads > 1 {
-			ex, ok := op.(*exchangeOp)
-			if !ok {
-				t.Fatalf("threads=%d built %T, want *exchangeOp", threads, op)
-			}
-			if _, ok := ex.child.(*parSortOp); !ok {
-				t.Fatalf("exchange child is %T, want *parSortOp", ex.child)
-			}
+		ex, ok := op.(*exchangeOp)
+		if !ok {
+			t.Fatalf("threads=%d built %T, want *exchangeOp", threads, op)
+		}
+		if _, ok := ex.child.(*parSortOp); !ok {
+			t.Fatalf("exchange child is %T, want *parSortOp", ex.child)
 		}
 		out := ""
 		for _, c := range collectAll(t, &Context{Txn: mgr.Begin(), Threads: threads}, op) {
@@ -128,7 +124,7 @@ func TestExchangeAboveSort(t *testing.T) {
 func TestExchangeEarlyClose(t *testing.T) {
 	node, mgr := mkHavingPlan(t, 60_000)
 	limited := &plan.LimitNode{Child: node, Limit: 2}
-	op, err := BuildParallel(limited, 4)
+	op, err := Compile(limited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +157,7 @@ func TestExchangeErrorPropagates(t *testing.T) {
 		Names: []string{"boom"},
 	}
 	for _, threads := range []int{1, 4} {
-		op, err := BuildParallel(proj, threads)
+		op, err := Compile(proj, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +174,7 @@ func TestExchangeUnordered(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	entry := buildFactTable(t, mgr, 30_000)
 	scan := &plan.ScanNode{Table: entry, Columns: []int{0}}
-	base, err := Build(scan)
+	base, err := Compile(scan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

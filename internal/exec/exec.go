@@ -11,17 +11,20 @@
 // An embedded engine must use all of the host's hardware (§6), so plans
 // are decomposed into pipelines: maximal scan→filter→project chains
 // terminated by pipeline breakers (hash aggregate and hash join builds,
-// sorts, the result sink). A parallelizable pipeline runs on a worker
-// pool; workers draw table segments ("morsels") from a shared atomic
-// counter, keeping every core busy without up-front range partitioning.
-// Operator state is thread-local — each worker owns partial aggregate
-// hash tables and partitioned join-build tables — and is merged once at
-// the pipeline breaker. Streaming pipelines reassemble their output in
-// morsel order, and breaker merges order groups by first appearance and
-// join matches by build position, so a parallel plan returns chunks in
-// exactly the order the single-threaded engine would (Context.Threads
-// = 1 is the always-available correctness baseline). Plan shapes outside
-// the pipeline whitelist simply fall back to the sequential operators.
+// sorts, the result sink). Every table scan is such a pipeline, at every
+// thread count: its worker states run on the engine-wide scheduler and
+// draw table segments ("morsels") from a shared atomic cursor, keeping
+// every core busy without up-front range partitioning. Operator state is
+// worker-local — each worker owns partial aggregate hash tables and
+// partitioned join-build tables — and is merged once at the pipeline
+// breaker. Streaming pipelines reassemble their output in morsel order,
+// and breaker merges order groups by first appearance and join matches
+// by build position, so the output is the same whatever the number of
+// worker states (Context.Threads = 1 is simply one). Breakers over
+// children that are not pipelines (an aggregate over a join, a sort over
+// a union) pull their input through the operator interface. The
+// independent correctness baseline is the tuple-at-a-time row engine
+// (rowengine.go).
 //
 // The package also houses the join-strategy decision the paper's
 // cooperation section describes (§4): an equi-join prefers an in-memory
@@ -113,11 +116,11 @@ type Context struct {
 	// SortBudget caps the in-memory footprint of sorts; <=0 derives it
 	// from the pool limit.
 	SortBudget int64
-	// Threads sizes the worker state of parallel pipelines (morsel
-	// scanners, partial tables, merge ranges); <=1 runs every operator
-	// single-threaded. It must match the value the plan was built with
-	// (BuildParallel). Execution itself runs on Sched's engine-wide
-	// pool, so Threads bounds a query's task width, not its goroutines.
+	// Threads sizes the worker state of pipelines (morsel scanners,
+	// partial tables, merge ranges); <=1 means one worker state. The
+	// compiled tree does not depend on it. Execution itself runs on
+	// Sched's engine-wide pool, so Threads bounds a query's task width,
+	// not its goroutines.
 	Threads int
 	// Sched is the engine-wide worker pool shared by every session of a
 	// database. nil falls back to a process-global default pool sized at
@@ -131,7 +134,7 @@ type Context struct {
 	Priority int
 	// Prof, when non-nil, collects this query's per-operator profile
 	// (EXPLAIN ANALYZE / PRAGMA profiling). The tree must have been
-	// built with BuildParallelProfiled using the same Profiler. nil is
+	// compiled with the same Profiler (Compile). nil is
 	// the off state: no hooks fire, nothing allocates.
 	Prof *Profiler
 	// QStats, when non-nil, receives the per-query roll-ups the
@@ -187,26 +190,18 @@ type Operator interface {
 	Close(ctx *Context)
 }
 
-// Build translates a logical plan into a single-threaded physical
-// operator tree.
-func Build(node plan.Node) (Operator, error) { return build(node, 1, nil) }
-
-// BuildParallel translates a logical plan into a physical operator tree
-// whose parallelizable pipelines run on worker pools of the given size.
-// The returned tree must be executed with a Context whose Threads field
-// carries the same value. threads <= 1 is identical to Build.
-func BuildParallel(node plan.Node, threads int) (Operator, error) {
-	return build(node, threads, nil)
-}
-
-// BuildParallelProfiled is BuildParallel with profiling hooks compiled
-// into the tree: operators are wrapped with their plan node's profile
-// slot and pipeline stages count rows per node. prof must come from
+// Compile translates a logical plan into a physical operator tree. Every
+// scan→filter→project chain becomes a morsel-driven pipeline, whatever
+// the thread count: the executing Context's Threads only sizes its
+// worker states. With a non-nil prof, profiling hooks are compiled into
+// the tree: operators are wrapped with their plan node's profile slot
+// and pipeline stages count rows per node. prof must come from
 // NewProfiler over the same (optimized) plan, and the executing Context
-// must carry it in Prof. A nil prof is identical to BuildParallel.
-func BuildParallelProfiled(node plan.Node, threads int, prof *Profiler) (Operator, error) {
-	return build(node, threads, prof)
-}
+// must carry it in Prof.
+func Compile(node plan.Node, prof *Profiler) (Operator, error) { return build(node, prof) }
+
+// BuildParallel is Compile without profiling; threads is ignored.
+func BuildParallel(node plan.Node, threads int) (Operator, error) { return build(node, nil) }
 
 // HasAggregate reports whether the plan contains a hash aggregation.
 // EXPLAIN uses it to note that an enforced memory_limit makes the
@@ -224,67 +219,40 @@ func HasAggregate(node plan.Node) bool {
 	return false
 }
 
-func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
-	if threads > 1 {
-		// A maximal scan→filter→project chain becomes one morsel-driven
-		// parallel pipeline streaming into whatever sits above it. The
-		// pipeline operator is never wrapped: its per-node row counts
-		// come from stage hooks and the morsel claim site, and parents
-		// (the hash join) type-assert on *parScanOp to attach stages.
-		if spec := compilePipeline(node, prof); spec != nil {
-			return newParScanOp(spec), nil
-		}
-		// A hash aggregate directly over such a chain breaks the
-		// pipeline with worker-local partial aggregation instead.
-		// DISTINCT aggregates participate: their per-worker value sets
-		// merge by set union.
-		if n, ok := node.(*plan.AggNode); ok {
-			if spec := compilePipeline(n.Child, prof); spec != nil {
-				return prof.wrap(newParAggOp(spec, n), n, true), nil
-			}
-		}
-		// A sort over such a chain builds per-worker sorted runs and
-		// k-way merges them at the breaker.
-		if n, ok := node.(*plan.SortNode); ok {
-			if spec := compilePipeline(n.Child, prof); spec != nil {
-				return prof.wrap(newParSortOp(spec, n), n, true), nil
-			}
-		}
-		// A window over such a chain sorts per worker too, and evaluates
-		// its partitions on an exchange pool.
-		if n, ok := node.(*plan.WindowNode); ok {
-			if spec := compilePipeline(n.Child, prof); spec != nil {
-				return prof.wrap(newParWindowOp(spec, n), n, true), nil
-			}
-		}
-		// Filter/project chains stranded above a breaker (HAVING over an
-		// aggregate, the projection stripping hidden sort columns, ...)
-		// run on an exchange instead of single-threaded operators.
-		if op, ok, err := buildExchange(node, threads, prof); ok {
-			return op, err
-		}
+func build(node plan.Node, prof *Profiler) (Operator, error) {
+	// A maximal scan→filter→project chain becomes one morsel-driven
+	// pipeline streaming into whatever sits above it. The pipeline
+	// operator is never wrapped: its per-node row counts come from stage
+	// hooks and the morsel claim site, and parents (the hash join)
+	// type-assert on *parScanOp to attach stages.
+	if spec := compilePipeline(node, prof); spec != nil {
+		return newParScanOp(spec), nil
+	}
+	// Filter/project chains stranded above a breaker (HAVING over an
+	// aggregate, the projection stripping hidden sort columns, ...) run
+	// on an exchange instead of pull-based operators.
+	if op, ok, err := buildExchange(node, prof); ok {
+		return op, err
 	}
 	switch n := node.(type) {
-	case *plan.ScanNode:
-		return prof.wrap(newScanOp(n), n, true), nil
 	case *plan.FilterNode:
-		child, err := build(n.Child, threads, prof)
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
 		return prof.wrap(&filterOp{child: child, cond: n.Cond}, n, true), nil
 	case *plan.ProjectNode:
-		child, err := build(n.Child, threads, prof)
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
 		return prof.wrap(&projectOp{child: child, exprs: n.Exprs, types: schemaTypes(n.Schema())}, n, true), nil
 	case *plan.JoinNode:
-		left, err := build(n.Left, threads, prof)
+		left, err := build(n.Left, prof)
 		if err != nil {
 			return nil, err
 		}
-		right, err := build(n.Right, threads, prof)
+		right, err := build(n.Right, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -296,25 +264,40 @@ func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
 		}
 		return prof.wrap(newEquiJoin(left, right, n), n, true), nil
 	case *plan.AggNode:
-		child, err := build(n.Child, threads, prof)
+		// Over a pipeline the aggregate breaks it with worker-local
+		// partial aggregation; DISTINCT aggregates participate, their
+		// per-worker value sets merging by set union.
+		if spec := compilePipeline(n.Child, prof); spec != nil {
+			return prof.wrap(newParAggOp(spec, n), n, true), nil
+		}
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
 		return prof.wrap(newAggOp(child, n), n, true), nil
 	case *plan.SortNode:
-		child, err := build(n.Child, threads, prof)
+		// Over a pipeline the sort builds per-worker sorted runs and
+		// k-way merges them at the breaker.
+		if spec := compilePipeline(n.Child, prof); spec != nil {
+			return prof.wrap(newParSortOp(spec, n), n, true), nil
+		}
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
 		return prof.wrap(newSortOp(child, n), n, true), nil
 	case *plan.WindowNode:
-		child, err := build(n.Child, threads, prof)
+		// Over a pipeline the window sorts per worker too.
+		if spec := compilePipeline(n.Child, prof); spec != nil {
+			return prof.wrap(newWindowOp(n, nil, newParScanOp(spec)), n, true), nil
+		}
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newWindowOp(child, n), n, true), nil
+		return prof.wrap(newWindowOp(n, child, nil), n, true), nil
 	case *plan.LimitNode:
-		child, err := build(n.Child, threads, prof)
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +305,7 @@ func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
 	case *plan.UnionAllNode:
 		ops := make([]Operator, len(n.Inputs))
 		for i, in := range n.Inputs {
-			op, err := build(in, threads, prof)
+			op, err := build(in, prof)
 			if err != nil {
 				return nil, err
 			}
@@ -335,9 +318,9 @@ func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
 		// DML input scans run parallel like any query: the morsel source
 		// snapshots the segment list at open, so an INSERT ... SELECT
 		// reading its own target inserts exactly the pre-existing rows,
-		// and the ordered merge keeps the consumed row order identical to
-		// the sequential plan. The write itself stays on the consumer.
-		child, err := build(n.Child, threads, prof)
+		// and the ordered merge keeps the consumed row order independent
+		// of the worker count. The write itself stays on the consumer.
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -346,13 +329,13 @@ func build(node plan.Node, threads int, prof *Profiler) (Operator, error) {
 		// UPDATE/DELETE materialize every row id before touching the
 		// table (Halloween protection), so their filter scans can fan
 		// out across workers too.
-		child, err := build(n.Child, threads, prof)
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
 		return prof.wrap(&updateOp{child: child, node: n}, n, true), nil
 	case *plan.DeleteNode:
-		child, err := build(n.Child, threads, prof)
+		child, err := build(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}

@@ -9,10 +9,11 @@ import (
 	"repro/internal/vector"
 )
 
-// parResult is one processed morsel: its dense sequence number and the
-// chunks its pipeline emitted (empty when every row was filtered out).
+// parResult is one processed claim: the run of morsels [seq, seq+n) —
+// zone-refuted ones plus at most one survivor — and the chunks the
+// pipeline emitted for it (empty when every row was filtered out).
 type parResult struct {
-	seq    int
+	seq, n int
 	chunks []*vector.Chunk
 	err    error
 }
@@ -20,19 +21,20 @@ type parResult struct {
 // parScanOp executes a morsel-driven pipeline on the engine-wide
 // scheduler. The operator keeps Threads worker states (a morsel scanner
 // plus private stage instances each); every state advances by short
-// re-submitting steps — claim a morsel, run the stages, post the result
-// — so the actual goroutines belong to the shared pool and a query
-// never spawns its own. The operator's Next reassembles the chunks in
-// morsel order, so consumers observe exactly the chunk stream the
-// sequential scan→filter→project chain would produce — parallelism
-// never changes row order.
+// re-submitting steps — claim a morsel run, run the stages, post the
+// result — so the actual goroutines belong to the shared pool and a
+// query never spawns its own. One worker state is the single-threaded
+// plan; more never change the output, because Next reassembles the
+// chunks in morsel order. A claim takes every zone-refuted morsel up to
+// the next survivor, so a selective scan costs a step per surviving
+// morsel, not per segment.
 //
 // Flow control: a worker state takes a reorder-buffer ticket before
-// claiming a morsel and the merger returns it when that morsel is
-// emitted. A state that finds no ticket parks (costing the pool
-// nothing) and is re-submitted by the consumer when it frees one; the
-// results channel's capacity equals the ticket window, so a step's send
-// never blocks a pool worker.
+// claiming a run and the merger returns it when that run is emitted. A
+// state that finds no ticket parks (costing the pool nothing) and is
+// re-submitted by the consumer when it frees one; the results channel's
+// capacity equals the ticket window, so a step's send never blocks a
+// pool worker.
 //
 // The operator has a second execution mode for pipeline breakers:
 // consume() pushes every worker state's chunks straight into a
@@ -76,6 +78,16 @@ type scanWorker struct {
 	ms     *table.MorselScanner
 	stages []stage
 	q      *sched.Query
+	out    []*vector.Chunk // the current claim's output chunks
+	// task and collect are w.step and w.collectOut bound once, so a step
+	// allocates nothing beyond the chunks it emits.
+	task    sched.Task
+	collect func(int, *vector.Chunk) error
+}
+
+func (w *scanWorker) collectOut(_ int, c *vector.Chunk) error {
+	w.out = append(w.out, c)
+	return nil
 }
 
 func newParScanOp(spec *pipelineSpec) *parScanOp { return &parScanOp{spec: spec} }
@@ -141,7 +153,8 @@ func (p *parScanOp) start(ctx *Context) {
 	p.active = workers
 	for i := 0; i < workers; i++ {
 		w := &scanWorker{op: p, ctx: ctx, ms: p.src.Worker(), stages: p.workerStages(), q: q}
-		q.Submit(w.step)
+		w.task, w.collect = w.step, w.collectOut
+		q.Submit(w.task)
 	}
 }
 
@@ -153,8 +166,8 @@ func (p *parScanOp) exitLocked() {
 	}
 }
 
-// step processes one morsel and re-submits itself. It never blocks on
-// the pool: a missing ticket parks the state instead, and the results
+// step processes one morsel run and re-submits itself. It never blocks
+// on the pool: a missing ticket parks the state instead, and the results
 // channel always has room for ticket holders.
 //
 //quack:hotpath
@@ -173,46 +186,62 @@ func (w *scanWorker) step() {
 		return
 	}
 	p.mu.Unlock()
-	slot := p.spec.scanSlot
-	var t0 time.Time
-	if slot != nil {
-		t0 = time.Now()
-	}
-	seq, chunk, err := w.ms.Next()
-	if seq < 0 && err == nil {
+	w.out = nil
+	seq, n, err := p.claim(w.ctx, w.ms, w.stages, w.collect)
+	if n == 0 && err == nil {
 		p.mu.Lock()
 		p.buf.release() // no morsel claimed; return the ticket
 		p.exitLocked()
 		p.mu.Unlock()
 		return
 	}
-	if slot != nil {
-		slot.Morsels.Add(1)
-		if chunk != nil && p.spec.countScanRows {
-			slot.Rows.Add(int64(chunk.Len()))
-			slot.Chunks.Add(1)
-		}
-	}
-	var out []*vector.Chunk
-	if err == nil && chunk != nil {
-		err = runStages(w.ctx, w.stages, chunk, func(c *vector.Chunk) error {
-			if c.Len() > 0 {
-				out = append(out, c)
-			}
-			return nil
-		})
-	}
-	if slot != nil {
-		slot.BusyNs.Add(time.Since(t0).Nanoseconds())
-	}
-	p.results <- parResult{seq: seq, chunks: out, err: err}
+	p.results <- parResult{seq: seq, n: n, chunks: w.out, err: err}
 	if err != nil {
 		p.mu.Lock()
 		p.exitLocked()
 		p.mu.Unlock()
 		return
 	}
-	w.q.Submit(w.step)
+	w.q.Submit(w.task)
+}
+
+// claim takes one morsel run and threads its survivor, if any, through
+// the stages, handing every non-empty output chunk to sink with the
+// survivor's sequence number. It returns the run's first sequence and
+// length (0: the source is exhausted) and books the claim into the scan
+// node's profile slot.
+//
+//quack:hotpath
+func (p *parScanOp) claim(ctx *Context, ms *table.MorselScanner, stages []stage, sink func(seq int, c *vector.Chunk) error) (first, n int, err error) {
+	slot := p.spec.scanSlot
+	var t0 time.Time
+	if slot != nil {
+		t0 = time.Now()
+	}
+	first, n, chunk, err := ms.Claim()
+	if n == 0 && err == nil {
+		return first, 0, nil
+	}
+	if slot != nil {
+		slot.Morsels.Add(int64(n))
+		if chunk != nil && p.spec.countScanRows {
+			slot.Rows.Add(int64(chunk.Len()))
+			slot.Chunks.Add(1)
+		}
+	}
+	if err == nil && chunk != nil {
+		seq := first + n - 1
+		err = runStages(ctx, stages, chunk, func(c *vector.Chunk) error {
+			if c.Len() == 0 {
+				return nil
+			}
+			return sink(seq, c)
+		})
+	}
+	if slot != nil {
+		slot.BusyNs.Add(time.Since(t0).Nanoseconds())
+	}
+	return first, n, err
 }
 
 // unparkOne re-submits one parked worker state after the consumer freed
@@ -223,7 +252,7 @@ func (p *parScanOp) unparkOne() {
 		w := p.parked[len(p.parked)-1]
 		p.parked = p.parked[:len(p.parked)-1]
 		p.active++
-		w.q.Submit(w.step)
+		w.q.Submit(w.task)
 	}
 	p.mu.Unlock()
 }
@@ -255,7 +284,7 @@ func (p *parScanOp) Next(ctx *Context) (*vector.Chunk, error) {
 			p.failed = res.err
 			return nil, res.err
 		}
-		p.buf.park(res.seq, res.chunks)
+		p.buf.park(res.seq, res.n, res.chunks)
 	}
 }
 
@@ -328,33 +357,10 @@ func (p *parScanOp) consume(ctx *Context, mkSink func(w int) func(seq int, c *ve
 				finish()
 				return
 			}
-			slot := p.spec.scanSlot
-			var t0 time.Time
-			if slot != nil {
-				t0 = time.Now()
-			}
-			seq, chunk, err := ms.Next()
-			if seq < 0 && err == nil {
+			_, n, err := p.claim(ctx, ms, stages, sink)
+			if n == 0 && err == nil {
 				finish()
 				return
-			}
-			if slot != nil {
-				slot.Morsels.Add(1)
-				if chunk != nil && p.spec.countScanRows {
-					slot.Rows.Add(int64(chunk.Len()))
-					slot.Chunks.Add(1)
-				}
-			}
-			if err == nil && chunk != nil {
-				err = runStages(ctx, stages, chunk, func(c *vector.Chunk) error {
-					if c.Len() == 0 {
-						return nil
-					}
-					return sink(seq, c)
-				})
-			}
-			if slot != nil {
-				slot.BusyNs.Add(time.Since(t0).Nanoseconds())
 			}
 			if err != nil {
 				mu.Lock()

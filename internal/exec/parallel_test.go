@@ -67,14 +67,12 @@ func TestParallelScanPreservesOrder(t *testing.T) {
 	})
 
 	render := func(threads int) string {
-		op, err := BuildParallel(node, threads)
+		op, err := Compile(node, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if threads > 1 {
-			if _, ok := op.(*parScanOp); !ok {
-				t.Fatalf("threads=%d built %T, want *parScanOp", threads, op)
-			}
+		if _, ok := op.(*parScanOp); !ok {
+			t.Fatalf("threads=%d built %T, want *parScanOp", threads, op)
 		}
 		ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 		out := ""
@@ -111,14 +109,12 @@ func TestParallelAggMatchesSequential(t *testing.T) {
 		}
 	}
 	render := func(threads int) string {
-		op, err := BuildParallel(mkNode(), threads)
+		op, err := Compile(mkNode(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if threads > 1 {
-			if _, ok := op.(*parAggOp); !ok {
-				t.Fatalf("threads=%d built %T, want *parAggOp", threads, op)
-			}
+		if _, ok := op.(*parAggOp); !ok {
+			t.Fatalf("threads=%d built %T, want *parAggOp", threads, op)
 		}
 		ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 		out := ""
@@ -146,7 +142,7 @@ func TestParallelScanEarlyClose(t *testing.T) {
 		Child: &plan.ScanNode{Table: entry, Columns: []int{0}},
 		Limit: 5,
 	}
-	op, err := BuildParallel(node, 4)
+	op, err := Compile(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +158,7 @@ func TestParallelScanEarlyClose(t *testing.T) {
 func TestParallelHashJoinMatchesSequential(t *testing.T) {
 	join, mgr := buildJoinFixture(t, 9_000, 6_000)
 	render := func(threads int) string {
-		op, err := BuildParallel(join, threads)
+		op, err := Compile(join, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +185,7 @@ func TestParallelHashJoinMatchesSequential(t *testing.T) {
 func TestParallelAutoJoinStillFallsBack(t *testing.T) {
 	pool := buffer.NewPool(128<<10, nil)
 	join, mgr := buildJoinFixture(t, 10, 50_000)
-	op, err := BuildParallel(join, 4)
+	op, err := Compile(join, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // mirrors the optimized plan tree — not the physical operator tree — so
 // its shape is identical at every thread count; workers of a parallel
 // pipeline all add into the same slot's atomics, and row counts come
-// out equal to the sequential run's by the engine's determinism
+// out equal at every worker count by the engine's determinism
 // guarantee.
 type OpProfile struct {
 	Name     string
@@ -126,8 +126,7 @@ func (p *profOp) Close(ctx *Context) {
 // profFactory wraps a stage factory so every chunk the stage emits is
 // counted into slot. Stage wrapping is how pipeline-collapsed plan
 // nodes (filters and projections that became morsel-pipeline or
-// exchange stages) keep per-node row counts that match the sequential
-// operators exactly. Row-transparent wrapping only — never applied to
+// exchange stages) keep per-node row counts of their own. Row-transparent wrapping only — never applied to
 // sliceStage implementors.
 func profFactory(slot *OpProfile, f stageFactory) stageFactory {
 	if slot == nil {

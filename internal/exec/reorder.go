@@ -19,20 +19,29 @@ import (
 // sequence's results are emitted, so the reorder buffer holds at most
 // cap(window) entries even under scheduling skew.
 //
-// The consumer side is single-threaded: park stashes a completed
-// sequence, advance promotes the next expected sequence's chunks to the
-// emission queue (returning its ticket), and pop drains the queue.
+// The consumer side is single-threaded: park stashes a completed entry,
+// advance promotes the next expected entry's chunks to the emission
+// queue (returning its ticket), and pop drains the queue. An entry
+// covers a run of n consecutive sequences under one ticket — a morsel
+// claim spans every zone-refuted morsel before its survivor.
 type reorderBuf struct {
 	window  chan struct{}
-	pending map[int][]*vector.Chunk
+	pending map[int]reorderEntry
 	queue   []*vector.Chunk
 	nextSeq int
+}
+
+// reorderEntry is one parked result: the chunks of the sequence run
+// [seq, seq+n) keyed by seq.
+type reorderEntry struct {
+	n      int
+	chunks []*vector.Chunk
 }
 
 func newReorderBuf(depth int) *reorderBuf {
 	return &reorderBuf{
 		window:  make(chan struct{}, depth),
-		pending: make(map[int][]*vector.Chunk, depth),
+		pending: make(map[int]reorderEntry, depth),
 	}
 }
 
@@ -51,8 +60,11 @@ func (b *reorderBuf) tryAcquire() bool {
 // acquired one but claimed no work).
 func (b *reorderBuf) release() { <-b.window }
 
-// park stores one sequence's result chunks for ordered emission.
-func (b *reorderBuf) park(seq int, chunks []*vector.Chunk) { b.pending[seq] = chunks }
+// park stores the result chunks of the n sequences starting at seq for
+// ordered emission.
+func (b *reorderBuf) park(seq, n int, chunks []*vector.Chunk) {
+	b.pending[seq] = reorderEntry{n: n, chunks: chunks}
+}
 
 // parked reports how many sequences await emission.
 func (b *reorderBuf) parked() int { return len(b.pending) }
@@ -81,18 +93,18 @@ func (b *reorderBuf) enqueue(chunks []*vector.Chunk) {
 	b.queue = chunks
 }
 
-// advance promotes the next expected sequence's parked chunks to the
+// advance promotes the next expected entry's parked chunks to the
 // emission queue and returns its ticket. It reports false when that
-// sequence has not arrived yet.
+// entry has not arrived yet.
 func (b *reorderBuf) advance() bool {
-	chunks, ok := b.pending[b.nextSeq]
+	e, ok := b.pending[b.nextSeq]
 	if !ok {
 		return false
 	}
 	delete(b.pending, b.nextSeq)
-	b.nextSeq++
+	b.nextSeq += e.n
 	b.release()
-	b.queue = chunks
+	b.queue = e.chunks
 	return true
 }
 

@@ -98,39 +98,39 @@ func RunRows(ctx *Context, it RowIterator, sink func([]types.Value) error) error
 	}
 }
 
-// rowScan iterates the table one row at a time (through the chunked
-// snapshot scanner, materializing each row into boxed values).
+// rowScan iterates the table one row at a time (through a one-worker
+// morsel source, materializing each row into boxed values).
 type rowScan struct {
-	node    *plan.ScanNode
-	scanner *table.Scanner
-	chunk   *vector.Chunk
-	pos     int
+	node  *plan.ScanNode
+	src   *table.MorselSource
+	ms    *table.MorselScanner
+	chunk *vector.Chunk
+	pos   int
 }
 
 func (s *rowScan) Open(ctx *Context) error {
-	sc, err := s.node.Table.Data.NewScanner(ctx.Txn, table.ScanOptions{
+	src, err := s.node.Table.Data.NewMorselSource(ctx.Txn, table.ScanOptions{
 		Columns:    s.node.Columns,
 		WithRowIDs: s.node.WithRowID,
 	})
 	if err != nil {
 		return err
 	}
-	s.scanner = sc
+	s.src, s.ms = src, src.Worker()
 	return nil
 }
 
 func (s *rowScan) NextRow(ctx *Context) ([]types.Value, error) {
 	for {
-		if s.chunk == nil || s.pos >= s.chunk.Len() {
-			chunk, err := s.scanner.Next()
+		for s.chunk == nil || s.pos >= s.chunk.Len() {
+			_, n, chunk, err := s.ms.Claim()
 			if err != nil {
 				return nil, err
 			}
-			if chunk == nil {
+			if n == 0 {
 				return nil, nil
 			}
-			s.chunk = chunk
-			s.pos = 0
+			s.chunk, s.pos = chunk, 0
 		}
 		row := s.chunk.Row(s.pos)
 		s.pos++
@@ -148,9 +148,9 @@ func (s *rowScan) NextRow(ctx *Context) ([]types.Value, error) {
 }
 
 func (s *rowScan) Close(ctx *Context) {
-	if s.scanner != nil {
-		s.scanner.Close()
-		s.scanner = nil
+	if s.src != nil {
+		s.src.Close()
+		s.src, s.ms = nil, nil
 	}
 }
 

@@ -17,20 +17,21 @@ import (
 //     fed to the external sorter keyed by (partition, order, position).
 //     The hidden position makes the sort a total order, so the sorted
 //     stream — and with it every downstream value — is bit-identical at
-//     every thread count. The parallel build runs this phase on the
-//     morsel pipeline with one sorter per worker (splitting the sort
-//     budget, like the parallel ORDER BY) and k-way merges all runs.
+//     every thread count. Over a morsel pipeline this phase runs with
+//     one sorter per worker (splitting the sort budget, like the
+//     parallel ORDER BY) and k-way merges all runs; over any other
+//     child one sorter consumes its chunks.
 //  2. Cut: the merged stream is split into partitions wherever the
 //     partition keys change (windowPartitionOp emits one chunk per
 //     partition).
 //  3. Evaluate: windowEvalStage computes every function over one
-//     partition and emits the payload plus the new columns. In the
-//     parallel plan the stage runs on the exchange's worker pool —
-//     partitions are evaluated concurrently and the exchange's
-//     reorder-merge re-emits them in partition order.
+//     partition and emits the payload plus the new columns. The stage
+//     runs on an exchange — partitions are evaluated concurrently on
+//     the scheduler and the exchange's reorder-merge re-emits them in
+//     partition order.
 //
-// Output order is (partition keys, order keys, input position): the
-// deterministic order both the sequential and parallel builds produce.
+// Output order is (partition keys, order keys, input position), at
+// every thread count.
 
 // windowLayout fixes the column layout of the extended sort rows:
 // payload columns first, then partition keys, order keys and the hidden
@@ -84,7 +85,7 @@ func (l windowLayout) partKeys() []extsort.Key {
 // stream into one chunk per partition: runs of rows equal on the
 // partition keys are contiguous in sorted input, so the cutter
 // bulk-copies each run and emits whenever the keys change. It is used
-// by the sequential window operator on the consumer thread and by every
+// on the consumer thread when the merge is not partitioned and by every
 // partitioned-merge worker on its own key range (range boundaries snap
 // to partition-key boundaries, so no partition straddles two workers).
 type partitionCutter struct {
@@ -161,8 +162,8 @@ type windowPartitionOp struct {
 	node *plan.WindowNode
 	lay  windowLayout
 
-	child Operator   // sequential source (exactly one of child/scan is set)
-	scan  *parScanOp // parallel pipeline source
+	child Operator   // non-pipeline source (exactly one of child/scan is set)
+	scan  *parScanOp // morsel pipeline source
 
 	iter  *extsort.Iterator
 	merge *parMergeStream // partitioned merge+cut (nil: cut on consumer)
@@ -262,7 +263,7 @@ func (w *windowPartitionOp) build(ctx *Context) error {
 		return nil
 	}
 
-	// Parallel build: each pipeline worker extends its morsels and feeds
+	// Pipeline build: each pipeline worker extends its morsels and feeds
 	// its own sorter (splitting the budget like the parallel ORDER BY);
 	// the k-way merge of every worker's runs reproduces the total order.
 	workers := w.scan.workerCount(ctx)
@@ -548,58 +549,12 @@ func (w *windowEvalStage) runSlice(ctx *Context, part *vector.Chunk, lo, hi int,
 	return nil
 }
 
-// stageOp applies per-worker stages inline on a single thread — the
-// sequential counterpart of running them on an exchange pool.
-type stageOp struct {
-	child  Operator
-	stages []stage
-	queue  []*vector.Chunk
-}
-
-func (s *stageOp) Open(ctx *Context) error {
-	s.queue = nil
-	return s.child.Open(ctx)
-}
-
-func (s *stageOp) Next(ctx *Context) (*vector.Chunk, error) {
-	for {
-		if len(s.queue) > 0 {
-			out := s.queue[0]
-			s.queue = s.queue[1:]
-			return out, nil
-		}
-		chunk, err := s.child.Next(ctx)
-		if err != nil || chunk == nil {
-			return nil, err
-		}
-		err = runStages(ctx, s.stages, chunk, func(out *vector.Chunk) error {
-			if out.Len() > 0 {
-				s.queue = append(s.queue, out)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (s *stageOp) Close(ctx *Context) { s.child.Close(ctx) }
-
-// newWindowOp builds the sequential window operator.
-func newWindowOp(child Operator, n *plan.WindowNode) Operator {
-	return &stageOp{
-		child:  newWindowPartitionOp(n, child, nil),
-		stages: []stage{newWindowEvalStage(n)},
-	}
-}
-
-// newParWindowOp builds the parallel window operator over a morsel
-// pipeline: per-worker sorters feed the merged partition stream, and
-// the eval stage runs on the exchange's pool with its ordered merge
-// keeping emission in partition order.
-func newParWindowOp(spec *pipelineSpec, n *plan.WindowNode) Operator {
-	src := newWindowPartitionOp(n, nil, newParScanOp(spec))
+// newWindowOp builds the window operator: the partition stream (from a
+// morsel pipeline's per-worker sorters, or one sorter over any other
+// child) feeds the eval stage running on an exchange, whose ordered
+// merge keeps emission in partition order.
+func newWindowOp(n *plan.WindowNode, child Operator, scan *parScanOp) Operator {
+	src := newWindowPartitionOp(n, child, scan)
 	return newExchangeOp(src, []stageFactory{func() stage { return newWindowEvalStage(n) }}, true)
 }
 

@@ -43,14 +43,12 @@ func mkWindowNode(t *testing.T, n int, mgr *txn.Manager) *plan.WindowNode {
 
 func renderWindow(t *testing.T, node plan.Node, ctx *Context) string {
 	t.Helper()
-	op, err := BuildParallel(node, ctx.Threads)
+	op, err := Compile(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Threads > 1 {
-		if _, ok := op.(*exchangeOp); !ok {
-			t.Fatalf("threads=%d built %T, want exchange-wrapped window", ctx.Threads, op)
-		}
+	if _, ok := op.(*exchangeOp); !ok {
+		t.Fatalf("threads=%d built %T, want exchange-wrapped window", ctx.Threads, op)
 	}
 	out := ""
 	for _, c := range collectAll(t, ctx, op) {
@@ -104,7 +102,7 @@ func TestParallelWindowEarlyClose(t *testing.T) {
 	mgr := txn.NewManager(nil)
 	node := mkWindowNode(t, 20_000, mgr)
 	limited := &plan.LimitNode{Child: node, Limit: 5}
-	op, err := BuildParallel(limited, 4)
+	op, err := Compile(limited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +131,7 @@ func TestParallelWindowErrorPropagates(t *testing.T) {
 		Funcs: []plan.WindowFunc{{Func: "row_number", Type: types.BigInt, Name: "rn"}},
 	}
 	for _, threads := range []int{1, 4} {
-		op, err := BuildParallel(node, threads)
+		op, err := Compile(node, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +178,7 @@ func TestWindowFrameEdgeCases(t *testing.T) {
 			Frame:   tc.frame,
 			Funcs:   []plan.WindowFunc{{Func: "sum", Arg: col(), Type: types.BigInt, Name: "s"}},
 		}
-		op, err := Build(node)
+		op, err := Compile(node, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +202,7 @@ func TestParallelWindowMergePartitioned(t *testing.T) {
 	const rows = 30_000
 	mgr := txn.NewManager(nil)
 	node := mkWindowNode(t, rows, mgr)
-	op, err := BuildParallel(node, 8)
+	op, err := Compile(node, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,3 +156,68 @@ func TestPriorityShare(t *testing.T) {
 		t.Fatalf("priority 400 ran %d steps vs %d at priority 100; want at least 2x", h, l)
 	}
 }
+
+// TestResubmittingChainDoesNotAllocate: the FIFO pops by head index and
+// rewinds when drained, so a step chain re-submitting itself on a
+// one-worker pool reuses the same slot — Submit→pick costs no
+// allocation per step.
+func TestResubmittingChainDoesNotAllocate(t *testing.T) {
+	s := New(1)
+	defer s.Stop()
+	q := s.NewQuery(0)
+	const steps = 10000
+	done := make(chan struct{})
+	n := 0
+	var step func()
+	step = func() {
+		n++
+		if n == steps {
+			close(done)
+			return
+		}
+		q.Submit(step)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	q.Submit(step)
+	<-done
+	runtime.ReadMemStats(&after)
+	if perStep := float64(after.Mallocs-before.Mallocs) / steps; perStep > 0.05 {
+		t.Fatalf("%.3f allocations per step, want ≈0", perStep)
+	}
+}
+
+// TestFIFOStaysBoundedWithoutDraining: a query whose FIFO never empties
+// (several states re-submitting round-robin) keeps its backing array at
+// the live depth instead of growing a dead prefix.
+func TestFIFOStaysBoundedWithoutDraining(t *testing.T) {
+	s := New(1)
+	defer s.Stop()
+	q := s.NewQuery(0)
+	const states, steps = 4, 10000
+	var wg sync.WaitGroup
+	wg.Add(states)
+	var ran atomic.Int64
+	var maxCap atomic.Int64
+	for i := 0; i < states; i++ {
+		var step func()
+		step = func() {
+			if ran.Add(1) >= steps {
+				wg.Done()
+				return
+			}
+			q.Submit(step)
+			s.mu.Lock()
+			if c := int64(cap(q.tasks)); c > maxCap.Load() {
+				maxCap.Store(c)
+			}
+			s.mu.Unlock()
+		}
+		q.Submit(step)
+	}
+	wg.Wait()
+	if c := maxCap.Load(); c > 4*states {
+		t.Fatalf("FIFO capacity grew to %d for %d live steps", c, states)
+	}
+}

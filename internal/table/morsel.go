@@ -84,47 +84,73 @@ func (m *MorselSource) Close() {
 	}
 }
 
-// MorselScanner is one worker's view of a MorselSource.
+// MorselScanner is one worker's view of a MorselSource. Sequential
+// readers (checkpoint serialization, COPY TO, the row engine) are simply
+// a source with one worker.
 type MorselScanner struct {
 	segReader
 	src *MorselSource
 }
 
-// Next claims the next unclaimed morsel and materializes it. It returns
-// the morsel's sequence number and its snapshot-visible rows; the chunk
-// is nil when the morsel holds no visible rows or its zone maps refute
-// the pushed filters (the sequence number is still consumed either way,
-// so callers can account for every morsel — skipping changes which
-// morsels do work, never the merged output). seq is -1 when the source
-// is exhausted.
+// Claim takes the next run of morsels with one CAS on the shared
+// cursor: every morsel the pushed zone filters refute from the cursor
+// on, plus the first one they do not, which it materializes. It returns
+// the run's first sequence number and its length n; n is 0 when the
+// source is exhausted. The survivor, when the run has one, is sequence
+// first+n-1 and chunk holds its snapshot-visible rows (nil when none
+// are). A run that reaches the last morsel without a survivor returns a
+// nil chunk. Refuted morsels are counted as skipped once the claim
+// succeeds, so every sequence number is claimed exactly once and
+// skipping changes which morsels do work, never the merged output.
 //
 //quack:hotpath
-func (w *MorselScanner) Next() (seq int, chunk *vector.Chunk, err error) {
-	idx := w.src.next.Add(1) - 1
-	if idx >= int64(len(w.src.segs)) {
-		return -1, nil, nil
+func (w *MorselScanner) Claim() (first, n int, chunk *vector.Chunk, err error) {
+	src := w.src
+	total := int64(len(src.segs))
+	for {
+		start := src.next.Load()
+		if start >= total {
+			return -1, 0, nil, nil
+		}
+		idx := start
+		for idx < total && segRefuted(src.t, src.segs[idx], src.opts.ZoneFilters) {
+			idx++
+		}
+		stop := min(idx+1, total)
+		if !src.next.CompareAndSwap(start, stop) {
+			continue // another worker claimed from this cursor; re-read it
+		}
+		src.opts.countSkipped(int(idx - start))
+		if idx < total {
+			chunk, err = w.scanMorsel(idx)
+		}
+		return int(start), int(stop - start), chunk, err
 	}
-	seg := w.src.segs[idx]
-	if len(w.src.opts.ZoneFilters) > 0 && segRefuted(w.src.t, seg, w.src.opts.ZoneFilters) {
-		w.src.opts.countSkipped()
-		return int(idx), nil, nil
-	}
-	if w.src.opts.EncodedExec {
-		if chunk, selected, ok := w.scanSegmentEncoded(seg, idx*SegRows, w.src.ns[idx]); ok {
-			w.src.opts.countScanned()
-			w.src.opts.countEncoded(selected)
-			return int(idx), chunk, nil
+}
+
+// scanMorsel materializes morsel idx: through the encoded kernels when
+// they apply, else by decoding the projected columns.
+//
+//quack:hotpath
+func (w *MorselScanner) scanMorsel(idx int64) (*vector.Chunk, error) {
+	src := w.src
+	seg, base, maxRows := src.segs[idx], idx*SegRows, src.ns[idx]
+	if src.opts.EncodedExec {
+		if chunk, selected, ok := w.scanSegmentEncoded(seg, base, maxRows); ok {
+			src.opts.countScanned()
+			src.opts.countEncoded(selected)
+			return chunk, nil
 		}
 	}
-	if err := w.src.t.materializeSegCols(seg, w.src.cols); err != nil {
-		return int(idx), nil, err
+	if err := src.t.materializeSegCols(seg, src.cols); err != nil {
+		return nil, err
 	}
-	w.src.opts.countScanned()
-	chunk = w.scanSegment(seg, idx*SegRows, w.src.ns[idx])
+	src.opts.countScanned()
+	chunk := w.scanSegment(seg, base, maxRows)
 	rows := 0
 	if chunk != nil {
 		rows = chunk.Len()
 	}
-	w.src.opts.countMaterialized(w.src.ns[idx], rows)
-	return int(idx), chunk, nil
+	src.opts.countMaterialized(maxRows, rows)
+	return chunk, nil
 }

@@ -28,21 +28,24 @@ import (
 // encoded, and the exact zone-map stats of each serialized segment (the
 // image the catalog persists so cold opens keep their zone maps).
 func (t *DataTable) SerializeColumn(tx *txn.Transaction, c int) ([]byte, int64, []ColStats, error) {
-	sc, err := t.NewScanner(tx, ScanOptions{Columns: []int{c}})
+	src, err := t.NewMorselSource(tx, ScanOptions{Columns: []int{c}})
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	defer sc.Close()
+	defer src.Close()
+	ms := src.Worker()
 	all := vector.New(t.typs[c], 0)
 	for {
-		chunk, err := sc.Next()
+		_, n, chunk, err := ms.Claim()
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		if chunk == nil {
+		if n == 0 {
 			break
 		}
-		all.AppendRange(chunk.Cols[0], 0, chunk.Len())
+		if chunk != nil {
+			all.AppendRange(chunk.Cols[0], 0, chunk.Len())
+		}
 	}
 	rows := int64(all.Len())
 	nsegs := int((rows + SegRows - 1) / SegRows)

@@ -26,22 +26,35 @@ func rangeChunk(n int) *vector.Chunk {
 	return c
 }
 
-func scanAll(t *testing.T, dt *DataTable, tx *txn.Transaction, withRowIDs bool) [][]int64 {
+// scanChunks reads every snapshot-visible chunk through a one-worker
+// morsel source, in segment order.
+func scanChunks(t *testing.T, dt *DataTable, tx *txn.Transaction, opts ScanOptions) []*vector.Chunk {
 	t.Helper()
-	sc, err := dt.NewScanner(tx, ScanOptions{WithRowIDs: withRowIDs})
+	src, err := dt.NewMorselSource(tx, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	var out [][]int64
+	defer src.Close()
+	ms := src.Worker()
+	var out []*vector.Chunk
 	for {
-		chunk, err := sc.Next()
+		_, n, chunk, err := ms.Claim()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if chunk == nil {
+		if n == 0 {
 			return out
 		}
+		if chunk != nil {
+			out = append(out, chunk)
+		}
+	}
+}
+
+func scanAll(t *testing.T, dt *DataTable, tx *txn.Transaction, withRowIDs bool) [][]int64 {
+	t.Helper()
+	var out [][]int64
+	for _, chunk := range scanChunks(t, dt, tx, ScanOptions{WithRowIDs: withRowIDs}) {
 		for r := 0; r < chunk.Len(); r++ {
 			row := make([]int64, chunk.NumCols())
 			for c := 0; c < chunk.NumCols(); c++ {
@@ -54,6 +67,7 @@ func scanAll(t *testing.T, dt *DataTable, tx *txn.Transaction, withRowIDs bool) 
 			out = append(out, row)
 		}
 	}
+	return out
 }
 
 func sumCol(t *testing.T, dt *DataTable, tx *txn.Transaction) int64 {
@@ -453,24 +467,19 @@ func TestScanProjection(t *testing.T) {
 	mgr.Commit(setup)
 
 	fresh := mgr.Begin()
-	sc, err := dt.NewScanner(fresh, ScanOptions{Columns: []int{1}})
-	if err != nil {
-		t.Fatal(err)
+	chunks := scanChunks(t, dt, fresh, ScanOptions{Columns: []int{1}})
+	if len(chunks) != 1 {
+		t.Fatalf("scanned %d chunks, want 1", len(chunks))
 	}
-	defer sc.Close()
-	chunk, err := sc.Next()
-	if err != nil || chunk == nil {
-		t.Fatal(err)
-	}
-	if chunk.NumCols() != 1 || chunk.Cols[0].Str[0] != "a" {
-		t.Fatalf("projection wrong: %v", chunk.Row(0))
+	if chunk := chunks[0]; chunk.NumCols() != 1 || chunk.Cols[0].Str[0] != "a" {
+		t.Fatalf("projection wrong: %v", chunks[0].Row(0))
 	}
 }
 
 func TestScanInvalidColumn(t *testing.T) {
 	dt := New([]types.Type{types.BigInt}, nil)
 	mgr := txn.NewManager(nil)
-	if _, err := dt.NewScanner(mgr.Begin(), ScanOptions{Columns: []int{5}}); err == nil {
+	if _, err := dt.NewMorselSource(mgr.Begin(), ScanOptions{Columns: []int{5}}); err == nil {
 		t.Fatal("out-of-range column accepted")
 	}
 }

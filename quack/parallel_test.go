@@ -141,6 +141,46 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRowEngineDifferential compares the vectorized engine — at the
+// default thread count, which the CI matrix varies, so one worker state
+// at QUACK_THREADS=1 — against the independent tuple-at-a-time row
+// engine on every differential query shape the row engine supports
+// (scans, filters, projections, aggregates, sorts, windows, limits):
+// same rows, same order.
+func TestRowEngineDifferential(t *testing.T) {
+	db := differentialDBWith(t)
+	sess := db.Internal().NewSession()
+	compared := 0
+	for _, q := range differentialQueries {
+		got, err := sess.ExecuteRowEngine(q)
+		if err != nil {
+			if strings.Contains(err.Error(), "row engine does not support") {
+				continue // joins and UNION ALL have no row-engine operator
+			}
+			t.Fatalf("row engine %q: %v", q, err)
+		}
+		compared++
+		want := queryAll(t, db, q)
+		if len(got) != len(want) {
+			t.Errorf("query %q: row engine %d rows, vectorized %d", q, len(got), len(want))
+			continue
+		}
+	rows:
+		for i, row := range got {
+			for c, v := range row {
+				if c >= len(want[i]) || v.String() != want[i][c] {
+					t.Errorf("query %q row %d: row engine %v, vectorized %v", q, i, row, want[i])
+					break rows
+				}
+			}
+		}
+	}
+	t.Logf("compared %d of %d differential queries", compared, len(differentialQueries))
+	if compared < 20 {
+		t.Fatalf("row engine ran only %d of %d differential queries", compared, len(differentialQueries))
+	}
+}
+
 // TestDifferentialDefaultThreads runs every differential query on a
 // database opened WITHOUT an explicit thread count, so the engine-wide
 // default applies — QUACK_THREADS in the CI matrix, GOMAXPROCS
@@ -302,9 +342,9 @@ func TestAggSpillSurfaced(t *testing.T) {
 	if got := queryAll(t, db, "PRAGMA agg_spilled_bytes"); got[0][0] == "0" {
 		t.Fatal("spilled-bytes counter still 0 after a spilling aggregation")
 	}
-	// The deprecated fallback counter reads 0 forever.
-	if got := queryAll(t, db, "PRAGMA parallel_agg_fallbacks"); got[0][0] != "0" {
-		t.Fatalf("deprecated parallel_agg_fallbacks = %s, want 0", got[0][0])
+	// The deprecated fallback counter is gone.
+	if _, err := db.Query("PRAGMA parallel_agg_fallbacks"); err == nil || !strings.Contains(err.Error(), "unknown PRAGMA") {
+		t.Fatalf("PRAGMA parallel_agg_fallbacks: err = %v, want unknown PRAGMA", err)
 	}
 
 	// Without a memory limit nothing spills and EXPLAIN stays silent.

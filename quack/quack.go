@@ -26,8 +26,8 @@
 // and hands them to the storage layer.
 //
 // Queries use all of the host's cores by default: plans are decomposed
-// into morsel-driven parallel pipelines (see internal/exec), with
-// WithThreads(1) as the single-threaded baseline. Parallelism never
+// into morsel-driven pipelines (see internal/exec), and WithThreads(1)
+// runs the same pipelines with one worker state. Parallelism never
 // changes results — chunks arrive in the same deterministic order at
 // every thread count, so the zero-copy chunk API above is unaffected.
 //
