@@ -150,7 +150,7 @@ func TestAdmitPriorityOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := make(chan int, 2)
-	enqueue := func(prio int) {
+	queueWaiter := func(prio int) {
 		go func() {
 			r, _, err := db.admit.admit(0.9, 8, prio)
 			if err != nil {
@@ -181,8 +181,8 @@ func TestAdmitPriorityOrder(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	enqueue(100)
-	enqueue(300)
+	queueWaiter(100)
+	queueWaiter(300)
 	r1()
 	if first := <-order; first != 300 {
 		t.Fatalf("priority-100 waiter admitted before priority-300")

@@ -712,13 +712,14 @@ func (s *Session) explain(st *sql.ExplainStmt, params []types.Value) (*Result, e
 	// Surface how aggregation cooperates with an enforced memory_limit:
 	// partitions whose accumulator states outgrow the budget spill to
 	// sorted state runs and merge back at finish — at full parallelism.
-	if lim := s.db.pool.Limit(); lim > 0 && exec.HasAggregate(node) {
-		out.AppendRow(types.NewVarchar(
-			"NOTE: aggregation spills partition-wise under memory_limit (see PRAGMA agg_spill_partitions)"))
-		// Surface the budget floor: states touched by in-flight morsels
-		// cannot spill, so a tight budget admits fewer accumulation
-		// workers instead of hard-failing the reservation.
+	if lim := s.db.pool.Limit(); lim > 0 {
 		if agg := exec.FindAggregate(node); agg != nil {
+			out.AppendRow(types.NewVarchar(
+				"NOTE: aggregation spills partition-wise under memory_limit (see PRAGMA agg_spill_partitions)"))
+			// Surface the budget floor: states touched by in-flight
+			// morsels cannot spill, so a tight budget admits fewer
+			// accumulation workers instead of hard-failing the
+			// reservation.
 			threads := s.threads()
 			if w := exec.AggWorkersAdmitted(lim, threads, agg); w < threads {
 				out.AppendRow(types.NewVarchar(fmt.Sprintf(

@@ -16,8 +16,8 @@ import (
 )
 
 // Partition-wise (grace) hash aggregation. Every accumulation thread —
-// the sequential aggOp or one parAggOp pipeline worker — hash-partitions
-// its groups into a fixed fan-out of sub-tables on the group-key hash.
+// one worker state of the aggOp's input — hash-partitions its groups
+// into a fixed fan-out of sub-tables on the group-key hash.
 // Under an enforced memory budget a partition whose states no longer fit
 // is spilled to a sorted-key state run (extsort.StateRun) and its budget
 // returned; the finish phase spills each table's resident remainder and
@@ -28,14 +28,14 @@ import (
 // Determinism at every thread count and every budget:
 //   - counts, integer sums, min/max and DISTINCT value sets merge
 //     order-insensitively (set union; min/max are idempotent folds);
-//   - DOUBLE sums retain one subtotal per (group, morsel) — a morsel is
-//     processed by exactly one worker and a spill never splits the
-//     in-flight morsel's subtotal (states touched by the current morsel
-//     are not spillable), so the merged subtotal list has unique morsel
-//     seqs and foldSubF replays the sequential reduction tree exactly;
-//   - emission orders groups by firstPos, the packed (morsel, row)
+//   - DOUBLE sums retain one subtotal per (group, input chunk) — a
+//     chunk is processed by exactly one worker and a spill never splits
+//     the in-flight chunk's subtotal (states touched by the current
+//     chunk are not spillable), so the merged subtotal list has unique
+//     seqs and foldSubF replays the input stream's reduction tree;
+//   - emission orders groups by firstPos, the packed (seq, row)
 //     position of first appearance — unique per group — reproducing the
-//     sequential first-seen order; the spilled path routes finished rows
+//     input's first-seen order; the spilled path routes finished rows
 //     through per-worker extsort sorters keyed on firstPos and one
 //     MergeFinish stream, so even the output sort is memory-bounded.
 
@@ -64,8 +64,8 @@ type aggPart struct {
 }
 
 // aggTable is one accumulation thread's partitioned hash table. It is
-// not safe for concurrent use; the parallel aggregate builds one per
-// worker and merges them at finish.
+// not safe for concurrent use; the aggregate builds one per input
+// worker state and merges them at finish.
 type aggTable struct {
 	node        *plan.AggNode
 	groupTypes  []types.Type
@@ -83,10 +83,6 @@ type aggTable struct {
 	// boundary, so one thread's resident states cannot crowd out its
 	// siblings' unspillable in-flight morsels from the shared pool.
 	softCap int64
-	// retain keeps per-morsel DOUBLE subtotals for the ordered merge
-	// (parallel workers always; any table that may spill, since a spilled
-	// partial must carry its exact reduction-tree leaves).
-	retain bool
 
 	parts    [aggFanout]aggPart
 	curTouch int64 // seq+1 of the morsel being accumulated
@@ -102,11 +98,10 @@ type aggTable struct {
 }
 
 // newAggTable builds one accumulation thread's table. tables is how
-// many sibling tables share the budget (1 for the sequential aggOp,
-// the worker count for parAggOp), sizing the proactive-shed share so a
-// lone sequential aggregate keeps half the budget instead of spilling
-// at 1/(2·threads) of it.
-func newAggTable(ctx *Context, n *plan.AggNode, retain bool, tables int) *aggTable {
+// many sibling tables share the budget (the input's worker count),
+// sizing the proactive-shed share so a lone one-worker aggregate keeps
+// half the budget instead of spilling at 1/(2·threads) of it.
+func newAggTable(ctx *Context, n *plan.AggNode, tables int) *aggTable {
 	t := &aggTable{
 		node:       n,
 		groupTypes: groupTypes(n),
@@ -118,7 +113,6 @@ func newAggTable(ctx *Context, n *plan.AggNode, retain bool, tables int) *aggTab
 	}
 	t.rowEstimate = keyBytesEstimate(t.groupTypes) + int64(len(n.Aggs))*48 + 64
 	t.spillable = ctx.Pool != nil && ctx.Pool.Limit() > 0
-	t.retain = retain || t.spillable
 	if t.spillable {
 		div := int64(2 * tables)
 		if div < 2 {
@@ -135,9 +129,10 @@ func newAggTable(ctx *Context, n *plan.AggNode, retain bool, tables int) *aggTab
 	return t
 }
 
-// accumulate folds one chunk into the table. seq identifies the chunk's
-// morsel (sequential callers pass a monotone chunk counter); all chunks
-// of one morsel must be accumulated consecutively.
+// accumulate folds one chunk into the table. seq is the chunk's input
+// sequence number (its morsel for a pipeline, its stream position for a
+// pulled input); all chunks of one seq must be accumulated
+// consecutively.
 func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error {
 	ng := len(t.node.GroupBy)
 	na := len(t.node.Aggs)
@@ -201,7 +196,7 @@ func (t *aggTable) accumulate(ctx *Context, seq int, chunk *vector.Chunk) error 
 		states[r] = st
 	}
 	for j, spec := range t.node.Aggs {
-		updateAggChunk(spec, j, states, argVecs[j], int64(seq), t.retain)
+		updateAggChunk(spec, j, states, argVecs[j], int64(seq))
 	}
 	t.rows += int64(n)
 	if t.spillable {
@@ -326,7 +321,7 @@ func (t *aggTable) spillPart(p int) error {
 	for _, k := range keys {
 		st := part.groups[k]
 		for j := range st.accs {
-			st.accs[j].flushF(true)
+			st.accs[j].flushF()
 		}
 		t.payBuf = encodeAggState(t.payBuf[:0], st, t.node.Aggs)
 		if err := w.Append([]byte(k), t.payBuf); err != nil {
@@ -576,7 +571,7 @@ func finishAggTables(ctx *Context, node *plan.AggNode, tables []*aggTable) (*agg
 		for p := range t.parts {
 			for _, st := range t.parts[p].groups {
 				for j := range st.accs {
-					st.accs[j].flushF(t.retain)
+					st.accs[j].flushF()
 				}
 			}
 		}

@@ -105,9 +105,9 @@ func TestParAggSpillUsesWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, ok := op.(*parAggOp)
+	pa, ok := op.(*aggOp)
 	if !ok {
-		t.Fatalf("built %T, want *parAggOp", op)
+		t.Fatalf("built %T, want *aggOp", op)
 	}
 	pool := buffer.NewPool(1<<20, nil)
 	ctx := &Context{Txn: mgr.Begin(), Threads: 8, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
@@ -177,7 +177,7 @@ func TestAggSpillEarlyCloseNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa := op.(*parAggOp)
+	pa := op.(*aggOp)
 	pool := buffer.NewPool(1<<20, nil)
 	ctx := &Context{Txn: mgr.Begin(), Threads: 4, Pool: pool, TmpDir: t.TempDir(), Stats: &Stats{}}
 	if err := op.Open(ctx); err != nil {
@@ -313,7 +313,7 @@ func TestAggSpillRunCorruptionPropagates(t *testing.T) {
 
 	// Drive the table directly so corruption lands between spill and
 	// merge: accumulate everything, corrupt one run, then finish.
-	tbl := newAggTable(ctx, node, false, 1)
+	tbl := newAggTable(ctx, node, 1)
 	scan, err := Compile(node.Child, nil)
 	if err != nil {
 		t.Fatal(err)

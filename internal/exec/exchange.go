@@ -19,15 +19,13 @@ import (
 // free list, so scratch buffers are reused without any goroutine owning
 // them.
 //
-// With ordered=true the consumer reassembles results in input-chunk
-// order, so the operator is row-for-row transparent: filter and project
-// stages are row-wise, making the output exactly what the sequential
-// operator chain would produce. ordered=false hands chunks back in
-// completion order for consumers that re-aggregate or re-sort anyway.
+// The consumer reassembles results in input-chunk order, so the
+// operator is row-for-row transparent: filter and project stages are
+// row-wise, making the output exactly what the sequential operator chain
+// would produce.
 type exchangeOp struct {
-	child   Operator
-	stages  []stageFactory
-	ordered bool
+	child  Operator
+	stages []stageFactory
 
 	results chan exResult
 	free    chan []stage // reusable per-task stage instances
@@ -71,8 +69,8 @@ type exResult struct {
 	err    error
 }
 
-func newExchangeOp(child Operator, stages []stageFactory, ordered bool) *exchangeOp {
-	return &exchangeOp{child: child, stages: stages, ordered: ordered}
+func newExchangeOp(child Operator, stages []stageFactory) *exchangeOp {
+	return &exchangeOp{child: child, stages: stages}
 }
 
 func (e *exchangeOp) Open(ctx *Context) error {
@@ -170,11 +168,10 @@ func (e *exchangeOp) nextItem(ctx *Context) (exItem, bool, error) {
 // one worker while the rest idle. Slices share the chunk; tasks
 // evaluate their own row range (sliceStage) or copy it out. Alignment
 // to ChunkCapacity keeps the re-assembled output's chunk boundaries
-// exactly those of the unsplit evaluation. Splitting is ordered-mode
-// only: slices must reassemble by seq.
+// exactly those of the unsplit evaluation.
 func (e *exchangeOp) splitChunk(chunk *vector.Chunk, seq int) []exItem {
 	n := chunk.Len()
-	if !e.ordered || n <= vector.ChunkCapacity {
+	if n <= vector.ChunkCapacity {
 		return []exItem{{seq: seq, chunk: chunk, lo: 0, hi: n}}
 	}
 	if ss, ok := e.probe.(sliceStage); ok && !ss.wantSlices(n) {
@@ -236,9 +233,9 @@ func runItem(ctx *Context, stages []stage, it exItem, sink func(*vector.Chunk) e
 
 // Next drives the exchange: it feeds the child's chunks to the
 // scheduler while the ticket window has room, then reassembles the
-// results. In ordered mode out-of-order results wait in a reorder
-// buffer bounded by the window tickets: at most cap(window) chunks are
-// in flight between feed and emission.
+// results. Out-of-order results wait in a reorder buffer bounded by the
+// window tickets: at most cap(window) chunks are in flight between feed
+// and emission.
 func (e *exchangeOp) Next(ctx *Context) (*vector.Chunk, error) {
 	if e.failed != nil {
 		return nil, e.failed
@@ -250,7 +247,7 @@ func (e *exchangeOp) Next(ctx *Context) (*vector.Chunk, error) {
 		if out, ok := e.buf.pop(); ok {
 			return out, nil
 		}
-		if e.ordered && e.buf.advance() {
+		if e.buf.advance() {
 			continue
 		}
 		if !e.childDone && e.buf.tryAcquire() {
@@ -275,17 +272,13 @@ func (e *exchangeOp) Next(ctx *Context) (*vector.Chunk, error) {
 				e.failed = res.err
 				return nil, res.err
 			}
-			if e.ordered {
-				e.buf.park(res.seq, 1, res.chunks)
-			} else {
-				e.buf.enqueue(res.chunks)
-			}
+			e.buf.park(res.seq, 1, res.chunks)
 			continue
 		}
 		// Nothing in flight and either the child is done or the window
 		// is exhausted by parked sequences; a remaining gap can only be
 		// a seq abandoned by an error path.
-		if e.ordered && e.buf.parked() > 0 {
+		if e.buf.parked() > 0 {
 			e.buf.skip()
 			continue
 		}
@@ -357,5 +350,5 @@ peel:
 	}
 	// The top node's stage already counts rows; the wrapper adds wall
 	// time at the exchange boundary.
-	return prof.wrap(newExchangeOp(base, stages, true), node, false), true, nil
+	return prof.wrap(newExchangeOp(base, stages), node, false), true, nil
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/txn"
 	"repro/internal/types"
-	"repro/internal/vector"
 )
 
 // mkHavingPlan builds Project(Filter(Agg(Scan))) — the HAVING shape that
@@ -101,8 +100,8 @@ func TestExchangeAboveSort(t *testing.T) {
 		if !ok {
 			t.Fatalf("threads=%d built %T, want *exchangeOp", threads, op)
 		}
-		if _, ok := ex.child.(*parSortOp); !ok {
-			t.Fatalf("exchange child is %T, want *parSortOp", ex.child)
+		if _, ok := ex.child.(*sortOp); !ok {
+			t.Fatalf("exchange child is %T, want *sortOp", ex.child)
 		}
 		out := ""
 		for _, c := range collectAll(t, &Context{Txn: mgr.Begin(), Threads: threads}, op) {
@@ -165,34 +164,5 @@ func TestExchangeErrorPropagates(t *testing.T) {
 		if _, err := Collect(ctx, op); err == nil {
 			t.Fatalf("threads=%d: stage error did not propagate", threads)
 		}
-	}
-}
-
-// TestExchangeUnordered: completion-order delivery must still hand every
-// chunk through exactly once.
-func TestExchangeUnordered(t *testing.T) {
-	mgr := txn.NewManager(nil)
-	entry := buildFactTable(t, mgr, 30_000)
-	scan := &plan.ScanNode{Table: entry, Columns: []int{0}}
-	base, err := Compile(scan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := newExchangeOp(base, []stageFactory{func() stage {
-		return &projectStage{exprs: []expr.Expr{&expr.ColRef{Idx: 0, Typ: types.BigInt}}}
-	}}, false)
-	ctx := &Context{Txn: mgr.Begin(), Threads: 4}
-	var sum, n int64
-	if err := Run(ctx, ex, func(c *vector.Chunk) error {
-		for r := 0; r < c.Len(); r++ {
-			sum += c.Cols[0].I64[r]
-			n++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 30_000 || sum != 30_000*29_999/2 {
-		t.Fatalf("unordered exchange lost rows: n=%d sum=%d", n, sum)
 	}
 }

@@ -20,11 +20,13 @@
 // breaker. Streaming pipelines reassemble their output in morsel order,
 // and breaker merges order groups by first appearance and join matches
 // by build position, so the output is the same whatever the number of
-// worker states (Context.Threads = 1 is simply one). Breakers over
-// children that are not pipelines (an aggregate over a join, a sort over
-// a union) pull their input through the operator interface. The
-// independent correctness baseline is the tuple-at-a-time row engine
-// (rowengine.go).
+// worker states (Context.Threads = 1 is simply one). The breakers that
+// consume whole inputs (aggregate, sort, window) have one input path:
+// every child is a breakerInput feeding (seq, chunk) pairs into sinks —
+// a pipeline's worker states, or a child that is not a pipeline (an
+// aggregate over a join, a sort over a union) pulled on the consumer as
+// one worker state numbering its chunks in stream order. The independent
+// correctness baseline is the tuple-at-a-time row engine (rowengine.go).
 //
 // The package also houses the join-strategy decision the paper's
 // cooperation section describes (§4): an equi-join prefers an in-memory
@@ -203,22 +205,6 @@ func Compile(node plan.Node, prof *Profiler) (Operator, error) { return build(no
 // BuildParallel is Compile without profiling; threads is ignored.
 func BuildParallel(node plan.Node, threads int) (Operator, error) { return build(node, nil) }
 
-// HasAggregate reports whether the plan contains a hash aggregation.
-// EXPLAIN uses it to note that an enforced memory_limit makes the
-// operator spill partition-wise state runs instead of degrading (the
-// pre-spill engine pinned budgeted parallel aggregation to one worker).
-func HasAggregate(node plan.Node) bool {
-	if _, ok := node.(*plan.AggNode); ok {
-		return true
-	}
-	for _, c := range node.Children() {
-		if HasAggregate(c) {
-			return true
-		}
-	}
-	return false
-}
-
 func build(node plan.Node, prof *Profiler) (Operator, error) {
 	// A maximal scan→filter→project chain becomes one morsel-driven
 	// pipeline streaming into whatever sits above it. The pipeline
@@ -264,38 +250,28 @@ func build(node plan.Node, prof *Profiler) (Operator, error) {
 		}
 		return prof.wrap(newEquiJoin(left, right, n), n, true), nil
 	case *plan.AggNode:
-		// Over a pipeline the aggregate breaks it with worker-local
-		// partial aggregation; DISTINCT aggregates participate, their
-		// per-worker value sets merging by set union.
-		if spec := compilePipeline(n.Child, prof); spec != nil {
-			return prof.wrap(newParAggOp(spec, n), n, true), nil
-		}
-		child, err := build(n.Child, prof)
+		// Each input worker state accumulates a partial aggregate;
+		// DISTINCT aggregates participate, their per-worker value sets
+		// merging by set union.
+		in, err := buildInput(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newAggOp(child, n), n, true), nil
+		return prof.wrap(&aggOp{in: in, node: n}, n, true), nil
 	case *plan.SortNode:
-		// Over a pipeline the sort builds per-worker sorted runs and
-		// k-way merges them at the breaker.
-		if spec := compilePipeline(n.Child, prof); spec != nil {
-			return prof.wrap(newParSortOp(spec, n), n, true), nil
-		}
-		child, err := build(n.Child, prof)
+		// Each input worker state builds sorted runs; the breaker k-way
+		// merges them.
+		in, err := buildInput(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newSortOp(child, n), n, true), nil
+		return prof.wrap(&sortOp{in: in, node: n}, n, true), nil
 	case *plan.WindowNode:
-		// Over a pipeline the window sorts per worker too.
-		if spec := compilePipeline(n.Child, prof); spec != nil {
-			return prof.wrap(newWindowOp(n, nil, newParScanOp(spec)), n, true), nil
-		}
-		child, err := build(n.Child, prof)
+		in, err := buildInput(n.Child, prof)
 		if err != nil {
 			return nil, err
 		}
-		return prof.wrap(newWindowOp(n, child, nil), n, true), nil
+		return prof.wrap(newWindowOp(n, in), n, true), nil
 	case *plan.LimitNode:
 		child, err := build(n.Child, prof)
 		if err != nil {

@@ -256,10 +256,8 @@ func (h *hashJoinOp) sequentialBuild(ctx *Context) error {
 func (h *hashJoinOp) parallelBuild(ctx *Context, pr *parScanOp) error {
 	// Open the source first so the partition count is bounded by the
 	// actual worker count (morsel-capped), not the raw Threads setting.
-	if pr.src == nil {
-		if err := pr.openSource(ctx); err != nil {
-			return err
-		}
+	if err := pr.Open(ctx); err != nil {
+		return err
 	}
 	nparts := pr.workerCount(ctx)
 	refOverhead := int64(24)
@@ -271,7 +269,7 @@ func (h *hashJoinOp) parallelBuild(ctx *Context, pr *parScanOp) error {
 		keyBuf []byte
 	}
 	var workers []*buildWorker
-	_, err := pr.consume(ctx, func(w int) func(int, *vector.Chunk) error {
+	err := pr.consume(ctx, func(w int) func(int, *vector.Chunk) error {
 		bw := &buildWorker{parts: make([]map[string][]buildRef, nparts)}
 		for p := range bw.parts {
 			bw.parts[p] = make(map[string][]buildRef)

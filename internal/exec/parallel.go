@@ -38,8 +38,8 @@ type parResult struct {
 //
 // The operator has a second execution mode for pipeline breakers:
 // consume() pushes every worker state's chunks straight into a
-// worker-local sink (a partial aggregate or a join build partition)
-// without the ordering barrier.
+// worker-local sink (a partial aggregate, a sorter or a join build
+// partition) without the ordering barrier.
 type parScanOp struct {
 	spec  *pipelineSpec
 	extra []stageFactory // stages attached by a parent (join probe)
@@ -113,16 +113,6 @@ func (p *parScanOp) workerCount(ctx *Context) int {
 	return w
 }
 
-func (p *parScanOp) openSource(ctx *Context) error {
-	src, err := p.spec.scan.Table.Data.NewMorselSource(ctx.Txn, scanOptions(ctx, p.spec.scan))
-	if err != nil {
-		return err
-	}
-	p.src = src
-	p.nmorsel = src.NumMorsels()
-	return nil
-}
-
 func (p *parScanOp) workerStages() []stage {
 	stages := p.spec.newStages()
 	for _, f := range p.extra {
@@ -138,7 +128,13 @@ func (p *parScanOp) Open(ctx *Context) error {
 	if p.src != nil {
 		return nil // reopened by a join fallback; keep the source
 	}
-	return p.openSource(ctx)
+	src, err := p.spec.scan.Table.Data.NewMorselSource(ctx.Txn, scanOptions(ctx, p.spec.scan))
+	if err != nil {
+		return err
+	}
+	p.src = src
+	p.nmorsel = src.NumMorsels()
+	return nil
 }
 
 // start submits the worker states feeding the ordered merge.
@@ -311,20 +307,18 @@ func (p *parScanOp) Close(ctx *Context) {
 	})
 }
 
-// consume runs the pipeline in sink mode for pipeline breakers: worker
-// state w pushes each (seq, chunk) it produces into the sink mkSink(w)
-// returned for it, with no ordering barrier. It returns the number of
-// worker states (= number of sinks created). consume replaces
-// Open/Next; Close must still be called to release the source.
+// consume runs the pipeline in sink mode (the breakerInput of a
+// pipeline): worker state w pushes each (seq, chunk) it produces into
+// the sink mkSink(w) returned for it, with no ordering barrier, and
+// workerCount states run. consume replaces Next; Close must still be
+// called to release the source.
 //
 // Each state is a re-submitting step, so the FIFO round-robins morsels
 // across states even on a one-worker pool — partial sinks stay spread
 // the way per-state goroutines would have spread them.
-func (p *parScanOp) consume(ctx *Context, mkSink func(w int) func(seq int, c *vector.Chunk) error) (int, error) {
-	if p.src == nil {
-		if err := p.openSource(ctx); err != nil {
-			return 0, err
-		}
+func (p *parScanOp) consume(ctx *Context, mkSink func(w int) func(seq int, c *vector.Chunk) error) error {
+	if err := p.Open(ctx); err != nil {
+		return err
 	}
 	p.started = true
 	workers := p.workerCount(ctx)
@@ -378,7 +372,6 @@ func (p *parScanOp) consume(ctx *Context, mkSink func(w int) func(seq int, c *ve
 	}
 	<-done
 	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	return workers, err
+	defer mu.Unlock()
+	return firstErr
 }

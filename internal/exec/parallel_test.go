@@ -113,8 +113,8 @@ func TestParallelAggMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := op.(*parAggOp); !ok {
-			t.Fatalf("threads=%d built %T, want *parAggOp", threads, op)
+		if _, ok := op.(*aggOp); !ok {
+			t.Fatalf("threads=%d built %T, want *aggOp", threads, op)
 		}
 		ctx := &Context{Txn: mgr.Begin(), Threads: threads}
 		out := ""

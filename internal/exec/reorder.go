@@ -86,13 +86,6 @@ func (b *reorderBuf) pop() (*vector.Chunk, bool) {
 	return c, true
 }
 
-// enqueue bypasses sequencing and queues chunks for emission directly
-// (completion-order mode), returning the producer's ticket.
-func (b *reorderBuf) enqueue(chunks []*vector.Chunk) {
-	b.release()
-	b.queue = chunks
-}
-
 // advance promotes the next expected entry's parked chunks to the
 // emission queue and returns its ticket. It reports false when that
 // entry has not arrived yet.

@@ -33,8 +33,8 @@ func renderSort(t *testing.T, node plan.Node, ctx *Context) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*parSortOp); !ok {
-		t.Fatalf("threads=%d built %T, want *parSortOp", ctx.Threads, op)
+	if _, ok := op.(*sortOp); !ok {
+		t.Fatalf("threads=%d built %T, want *sortOp", ctx.Threads, op)
 	}
 	out := ""
 	for _, c := range collectAll(t, ctx, op) {
@@ -134,9 +134,9 @@ func TestParallelSortMergePartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, ok := op.(*parSortOp)
+	ps, ok := op.(*sortOp)
 	if !ok {
-		t.Fatalf("built %T, want *parSortOp", op)
+		t.Fatalf("built %T, want *sortOp", op)
 	}
 	ctx := &Context{Txn: mgr.Begin(), Threads: 8}
 	if err := op.Open(ctx); err != nil {

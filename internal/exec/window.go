@@ -17,10 +17,9 @@ import (
 //     fed to the external sorter keyed by (partition, order, position).
 //     The hidden position makes the sort a total order, so the sorted
 //     stream — and with it every downstream value — is bit-identical at
-//     every thread count. Over a morsel pipeline this phase runs with
-//     one sorter per worker (splitting the sort budget, like the
-//     parallel ORDER BY) and k-way merges all runs; over any other
-//     child one sorter consumes its chunks.
+//     every thread count. This phase runs with one sorter per worker
+//     state of the input (splitting the sort budget, like ORDER BY)
+//     and k-way merges all runs.
 //  2. Cut: the merged stream is split into partitions wherever the
 //     partition keys change (windowPartitionOp emits one chunk per
 //     partition).
@@ -149,10 +148,10 @@ func (pc *partitionCutter) flush(emit func(*vector.Chunk) error) error {
 }
 
 // windowPartitionOp produces the partition stream of a WindowNode: the
-// input (a built child operator, or a morsel pipeline whose workers
-// each feed their own sorter) is sorted by (partition, order, position)
-// and emitted as one chunk per partition, in sorted order. Partition
-// chunks keep the extended layout; the eval stage strips it.
+// input's worker states each feed their own sorter, the merged stream is
+// sorted by (partition, order, position) and emitted as one chunk per
+// partition, in sorted order. Partition chunks keep the extended layout;
+// the eval stage strips it.
 //
 // With threads > 1 and a PARTITION BY, the merge phase itself
 // partitions: key ranges snapped to partition-key boundaries are merged
@@ -162,8 +161,7 @@ type windowPartitionOp struct {
 	node *plan.WindowNode
 	lay  windowLayout
 
-	child Operator   // non-pipeline source (exactly one of child/scan is set)
-	scan  *parScanOp // morsel pipeline source
+	in breakerInput
 
 	iter  *extsort.Iterator
 	merge *parMergeStream // partitioned merge+cut (nil: cut on consumer)
@@ -174,8 +172,8 @@ type windowPartitionOp struct {
 	flushed bool
 }
 
-func newWindowPartitionOp(n *plan.WindowNode, child Operator, scan *parScanOp) *windowPartitionOp {
-	return &windowPartitionOp{node: n, lay: layoutOf(n), child: child, scan: scan}
+func newWindowPartitionOp(n *plan.WindowNode, in breakerInput) *windowPartitionOp {
+	return &windowPartitionOp{node: n, lay: layoutOf(n), in: in}
 }
 
 func (w *windowPartitionOp) Open(ctx *Context) error {
@@ -185,15 +183,12 @@ func (w *windowPartitionOp) Open(ctx *Context) error {
 	w.cutter = nil
 	w.queue = nil
 	w.flushed = false
-	if w.child != nil {
-		return w.child.Open(ctx)
-	}
-	return w.scan.Open(ctx)
+	return w.in.Open(ctx)
 }
 
 // extend widens a chunk with the evaluated partition keys, order keys
 // and the hidden packed (seq, row) position.
-func (w *windowPartitionOp) extend(chunk *vector.Chunk, seq int) (*vector.Chunk, error) {
+func (w *windowPartitionOp) extend(seq int, chunk *vector.Chunk) (*vector.Chunk, error) {
 	cols := make([]*vector.Vector, 0, w.lay.np+w.lay.npk+w.lay.nok+1)
 	cols = append(cols, chunk.Cols...)
 	for _, e := range w.node.PartitionBy {
@@ -224,89 +219,10 @@ func (w *windowPartitionOp) build(ctx *Context) error {
 	extTypes := w.lay.extTypes(w.node)
 	keys := w.lay.sortKeys(w.node)
 
-	if w.child != nil {
-		sorter := extsort.NewSorter(extTypes, keys, ctx.sortBudget(), ctx.TmpDir)
-		if ctx.Pool != nil {
-			sorter.SetPool(ctx.Pool)
-		}
-		seq := 0
-		for {
-			chunk, err := w.child.Next(ctx)
-			if err != nil {
-				sorter.Close()
-				return err
-			}
-			if chunk == nil {
-				break
-			}
-			if chunk.Len() == 0 {
-				continue
-			}
-			ext, err := w.extend(chunk, seq)
-			if err != nil {
-				sorter.Close()
-				return err
-			}
-			if err := sorter.Add(ext); err != nil {
-				sorter.Close()
-				return err
-			}
-			seq++
-		}
-		iter, err := sorter.Finish()
-		if err != nil {
-			sorter.Close()
-			return err
-		}
-		recordSortSpill(ctx, w.node, sorter.SpilledBytes())
-		w.iter = iter
-		return nil
-	}
-
-	// Pipeline build: each pipeline worker extends its morsels and feeds
-	// its own sorter (splitting the budget like the parallel ORDER BY);
-	// the k-way merge of every worker's runs reproduces the total order.
-	workers := w.scan.workerCount(ctx)
-	budget := ctx.sortBudget()
-	if budget > 0 && workers > 1 {
-		budget /= int64(workers)
-		if budget < 1 {
-			budget = 1
-		}
-	}
-	var sorters []*extsort.Sorter
-	_, err := w.scan.consume(ctx, func(wk int) func(int, *vector.Chunk) error {
-		sorter := extsort.NewSorter(extTypes, keys, budget, ctx.TmpDir)
-		if ctx.Pool != nil {
-			sorter.SetPool(ctx.Pool)
-		}
-		sorters = append(sorters, sorter)
-		return func(seq int, chunk *vector.Chunk) error {
-			ext, err := w.extend(chunk, seq)
-			if err != nil {
-				return err
-			}
-			return sorter.Add(ext)
-		}
-	})
+	iter, err := sortInput(ctx, w.in, w.node, extTypes, keys, w.extend)
 	if err != nil {
-		for _, sorter := range sorters {
-			sorter.Close()
-		}
 		return err
 	}
-	iter, err := extsort.MergeFinish(sorters)
-	if err != nil {
-		for _, sorter := range sorters {
-			sorter.Close()
-		}
-		return err
-	}
-	var spilled int64
-	for _, sorter := range sorters {
-		spilled += sorter.SpilledBytes()
-	}
-	recordSortSpill(ctx, w.node, spilled)
 	w.iter = iter
 
 	// Partitioned merge: cut the key domain on the partition-key prefix
@@ -438,11 +354,7 @@ func (w *windowPartitionOp) Close(ctx *Context) {
 		w.iter = nil
 	}
 	w.cutter, w.queue = nil, nil
-	if w.child != nil {
-		w.child.Close(ctx)
-	} else {
-		w.scan.Close(ctx)
-	}
+	w.in.Close(ctx)
 }
 
 // windowEvalStage computes every window function over one partition
@@ -549,13 +461,12 @@ func (w *windowEvalStage) runSlice(ctx *Context, part *vector.Chunk, lo, hi int,
 	return nil
 }
 
-// newWindowOp builds the window operator: the partition stream (from a
-// morsel pipeline's per-worker sorters, or one sorter over any other
-// child) feeds the eval stage running on an exchange, whose ordered
-// merge keeps emission in partition order.
-func newWindowOp(n *plan.WindowNode, child Operator, scan *parScanOp) Operator {
-	src := newWindowPartitionOp(n, child, scan)
-	return newExchangeOp(src, []stageFactory{func() stage { return newWindowEvalStage(n) }}, true)
+// newWindowOp builds the window operator: the partition stream (from
+// per-worker sorters over the input) feeds the eval stage running on an
+// exchange, whose ordered merge keeps emission in partition order.
+func newWindowOp(n *plan.WindowNode, in breakerInput) Operator {
+	src := newWindowPartitionOp(n, in)
+	return newExchangeOp(src, []stageFactory{func() stage { return newWindowEvalStage(n) }})
 }
 
 // ---- per-partition evaluation ----

@@ -293,7 +293,7 @@ func TestExchangeSplitsOversizedChunks(t *testing.T) {
 // (so output chunk boundaries match unsplit evaluation), a 4-per-worker
 // item cap, and pass-through for engine-sized chunks.
 func TestSplitChunkPolicy(t *testing.T) {
-	e := &exchangeOp{ordered: true, workers: 2}
+	e := &exchangeOp{workers: 2}
 	mk := func(n int) *vector.Chunk {
 		c := vector.NewChunk([]types.Type{types.BigInt})
 		for i := 0; i < n; i++ {
@@ -324,9 +324,5 @@ func TestSplitChunkPolicy(t *testing.T) {
 	}
 	if last != huge.Len() {
 		t.Fatalf("items cover %d rows, want %d", last, huge.Len())
-	}
-	e.ordered = false
-	if items := e.splitChunk(huge, 0); len(items) != 1 {
-		t.Fatalf("unordered mode split a chunk into %d items", len(items))
 	}
 }

@@ -121,6 +121,15 @@ var differentialQueries = []string{
 	"SELECT grp, rank() OVER (ORDER BY count(*) DESC, grp) FROM facts GROUP BY grp",
 	"SELECT id, avg(qty) OVER (ORDER BY id ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) FROM facts WHERE id < 5000",
 	"SELECT id, lag(qty, 2) OVER (PARTITION BY flag ORDER BY id) FROM facts WHERE id < 4000 ORDER BY id",
+	// Breakers over a child that is not a pipeline (a join, an
+	// aggregate): their sequence-keyed state — first-seen group order,
+	// per-chunk DOUBLE subtotals, the hidden sort/window tiebreak — is
+	// numbered by the pulled stream. price / 7 is inexact, so the DOUBLE
+	// sums pin the reduction tree.
+	"SELECT label, sum(price), sum(price / 7), count(*) FROM facts JOIN dims ON id = key GROUP BY label",
+	"SELECT id, grp, label FROM facts JOIN dims ON id = key ORDER BY grp",
+	"SELECT id, sum(price / 7) OVER (PARTITION BY grp ORDER BY qty) FROM facts JOIN dims ON id = key",
+	"SELECT grp, sum(price) FROM facts GROUP BY grp ORDER BY sum(price) DESC",
 }
 
 // TestParallelMatchesSequential is the differential guarantee of the
